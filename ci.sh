@@ -11,30 +11,24 @@ cd "$(dirname "$0")"
 echo "== tier-1: release build (offline) =="
 cargo build --release --offline
 
-echo "== tier-1: test suite (offline, stepped executor — the default) =="
+echo "== tier-1: test suite (offline) =="
 cargo test -q --offline
 
-echo "== workspace tests (all crates, offline, stepped executor) =="
+echo "== workspace tests (all crates, offline) =="
 cargo test --workspace -q --offline
-
-echo "== workspace tests again under the threaded executor =="
-OZZ_EXEC=threaded cargo test --workspace -q --offline
-
-echo "== executor equivalence (stepped == threaded, byte-for-byte) =="
-cargo test -q --offline --test exec_equivalence
 
 echo "== memory models: litmus + LKMM properties under tso/pso/arm =="
 # The TSO run repeats the default-env run on purpose: it pins that an
 # explicit OZZ_MEMMODEL=tso is byte-identical to leaving it unset. The
-# golden-trace / exec-equivalence gates above stay on the default (TSO)
-# model — goldens are a TSO contract.
+# golden-trace gate below stays on the default (TSO) model — goldens are a
+# TSO contract.
 for m in tso pso arm; do
     echo "--  OZZ_MEMMODEL=$m"
     OZZ_MEMMODEL=$m cargo test -q --offline -p litmus
     OZZ_MEMMODEL=$m cargo test -q --offline --test lkmm_properties
 done
 
-echo "== restore differential (incremental == full, all models/executors) =="
+echo "== restore differential (incremental == full, all models) =="
 cargo test -q --offline --test restore_differential
 
 echo "== rustdoc (all crates, no warnings) =="
@@ -51,7 +45,7 @@ cargo build --release --offline -p bench --bin parallel_scaling
 ./target/release/parallel_scaling
 cat BENCH_parallel_scaling.json
 
-echo "== mti throughput smoke (fresh vs pooled vs stepped vs dirty) =="
+echo "== mti throughput smoke (fresh vs full-restore vs dirty-journal pool) =="
 cargo build --release --offline -p bench --bin mti_throughput
 ./target/release/mti_throughput 200 1
 cat BENCH_mti_throughput.json
@@ -63,14 +57,13 @@ grep -q '"restore_full_fallbacks": 0' BENCH_mti_throughput.json \
 echo "== record/replay fidelity + oracle matrix + golden traces =="
 cargo test -q --offline --test trace_replay --test oracle_matrix --test golden_trace
 
-echo "== triage battery (minimize + bisect, both executors x all models) =="
-# The workspace runs above already cover the default (tso/stepped) and
-# threaded cells; the loop pins the full matrix explicitly, including the
-# Arm cells where attribution degrades to a principled Inconclusive.
+echo "== triage battery (minimize + bisect, all models) =="
+# The workspace run above already covers the default (tso) cell; the loop
+# pins every model explicitly, including the Arm cells where attribution
+# degrades to a principled Inconclusive.
 for m in tso pso arm; do
     echo "--  OZZ_MEMMODEL=$m"
     OZZ_MEMMODEL=$m cargo test -q --offline --test triage_minimal
-    OZZ_MEMMODEL=$m OZZ_EXEC=threaded cargo test -q --offline --test triage_minimal
 done
 
 echo "== trace minimization bench (full corpus shrink + replay cost) =="

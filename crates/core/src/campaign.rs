@@ -18,7 +18,7 @@
 //!
 //! The merged [`CampaignReport`] is a pure function of the campaign's
 //! semantic settings (seed, shards, budget, epoch length, target);
-//! `workers`, the executor mode, and machine reuse only change how fast it
+//! `workers` and machine reuse only change how fast it
 //! is produced. See [`crate::parallel`] for the work-stealing engine that
 //! guarantees this.
 //!
@@ -47,7 +47,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use kernelsim::{BugSwitches, ExecMode};
+use kernelsim::BugSwitches;
 use oemu::{Iid, MemoryModel};
 
 use crate::checkpoint::CampaignCheckpoint;
@@ -194,13 +194,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Selects the executor backend (a perf knob; does not change the
-    /// merged report).
-    pub fn exec_mode(mut self, mode: ExecMode) -> CampaignBuilder {
-        self.cfg.exec_mode = mode;
-        self
-    }
-
     /// Overrides the scheduling-hint exploration order.
     pub fn hint_order(mut self, order: HintOrder) -> CampaignBuilder {
         self.cfg.hint_order = order;
@@ -243,7 +236,7 @@ impl CampaignBuilder {
     /// Resumes from an in-memory checkpoint. The checkpoint's semantic
     /// settings (seed, shards, budget, epoch length, kernel build,
     /// target, fuzzer tuning) override the builder's; perf knobs
-    /// (`workers`, executor mode, machine reuse) stay builder-level.
+    /// (`workers`, machine reuse) stay builder-level.
     pub fn resume(mut self, ck: CampaignCheckpoint) -> CampaignBuilder {
         self.resume = Some(ck);
         self

@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use kernelsim::{
-    BugSwitches, ExecMode, Kctx, MachinePool, MachineSnapshot, MemoryModel, ReorderType,
-    RestoreCounters, Syscall,
+    BugSwitches, Kctx, MachinePool, MachineSnapshot, MemoryModel, ReorderType, RestoreCounters,
+    Syscall,
 };
 use kutil::{fnv1a64, splitmix64};
 use oemu::{Iid, ScheduleTrace};
@@ -69,18 +69,11 @@ pub struct FuzzConfig {
     pub mutate_ratio: f64,
     /// Hint-ordering strategy (the §4.3 heuristic or an ablation).
     pub hint_order: HintOrder,
-    /// Run tests on pooled, reset machines with persistent CPU workers
-    /// (the in-vivo discipline) instead of booting a machine and spawning
-    /// threads per test. Campaign output is byte-identical either way —
-    /// pinned by `tests/pool_fidelity.rs` — only throughput differs.
+    /// Run tests on pooled, reset machines (the in-vivo discipline)
+    /// instead of booting a machine per test. Campaign output is
+    /// byte-identical either way — pinned by `tests/pool_fidelity.rs` —
+    /// only throughput differs.
     pub reuse_machines: bool,
-    /// Which executor runs each MTI's concurrent pair: threadless stepped
-    /// execution (the default) or two scheduler-serialised OS threads.
-    /// Campaign output is byte-identical either way — pinned by
-    /// `tests/exec_equivalence.rs` — only throughput differs. Defaults to
-    /// [`ExecMode::from_env`] (`OZZ_EXEC=threaded` selects the threaded
-    /// executor).
-    pub exec_mode: ExecMode,
     /// Memory model the campaign's machines emulate. Part of machine
     /// identity (pool shelves key on it) and fed to the hint calculator,
     /// whose barrier grouping asks the model what bounds reordering.
@@ -92,8 +85,8 @@ pub struct FuzzConfig {
     /// the pre-journal reset cost (including zero journaling overhead on
     /// the write path). Campaign output is byte-identical either way —
     /// the incremental path is semantically invisible — only restore cost
-    /// differs. Not serialized into checkpoints: like `exec_mode`, it is a
-    /// perf knob, not campaign state.
+    /// differs. Not serialized into checkpoints: like `reuse_machines`, it
+    /// is a perf knob, not campaign state.
     pub force_full_restore: bool,
 }
 
@@ -106,7 +99,6 @@ impl Default for FuzzConfig {
             mutate_ratio: 0.5,
             hint_order: HintOrder::MaxReorderFirst,
             reuse_machines: true,
-            exec_mode: ExecMode::from_env(),
             memory_model: MemoryModel::from_env(),
             force_full_restore: false,
         }
@@ -186,9 +178,9 @@ pub struct Fuzzer {
     crash_counts: BTreeMap<String, u64>,
     stats: FuzzStats,
     rng_pick: u64,
-    /// Reset machines with persistent workers, reused across steps when
-    /// `cfg.reuse_machines` is set. Private per fuzzer: shards in a
-    /// parallel campaign never contend on a shelf.
+    /// Reset machines, reused across steps when `cfg.reuse_machines` is
+    /// set. Private per fuzzer: shards in a parallel campaign never contend
+    /// on a shelf.
     pool: MachinePool,
 }
 
@@ -254,9 +246,6 @@ impl Fuzzer {
                 .checkout_with_model(&self.cfg.bugs, self.cfg.memory_model)
         });
         if let Some(m) = &machine {
-            // The executor choice is per-config, not per-machine: stamp it
-            // on every checkout (reset() deliberately leaves it alone).
-            m.kctx().set_exec_mode(self.cfg.exec_mode);
             if self.cfg.force_full_restore {
                 m.kctx().set_force_full_restore(true);
             }
@@ -341,7 +330,6 @@ impl Fuzzer {
                 }
                 None => {
                     let k = Kctx::new_with_model(self.cfg.bugs.clone(), self.cfg.memory_model);
-                    k.set_exec_mode(self.cfg.exec_mode);
                     mti.run_on(&k)
                 }
             };
@@ -369,7 +357,6 @@ impl Fuzzer {
                         None => {
                             let k =
                                 Kctx::new_with_model(self.cfg.bugs.clone(), self.cfg.memory_model);
-                            k.set_exec_mode(self.cfg.exec_mode);
                             mti.run_recorded_on(&k)
                         }
                     })
@@ -557,8 +544,8 @@ impl Fuzzer {
 /// between steps, so a resumed fuzzer rebooting its pool lazily produces
 /// byte-identical output — only [`Fuzzer::machine_boots`], a throughput
 /// counter, differs. Likewise [`FuzzConfig::reuse_machines`] and
-/// [`FuzzConfig::exec_mode`] are perf knobs, not state: a checkpoint taken
-/// under one executor resumes correctly under the other.
+/// [`FuzzConfig::force_full_restore`] are perf knobs, not state: a
+/// checkpoint taken with either setting resumes correctly under the other.
 #[derive(Clone, Debug)]
 pub struct FuzzerCheckpoint {
     /// [`crate::sti::StiGen`] RNG state.

@@ -115,10 +115,10 @@ impl Mti {
         }
     }
 
-    /// Runs the concurrent pair on a pooled machine's persistent CPU
-    /// workers. The caller has already established the setup state (via
-    /// [`Mti::run_setup`] or a snapshot restore); this installs the
-    /// reordering controls and runs the Figure 5 choreography.
+    /// Runs the concurrent pair on a pooled machine. The caller has
+    /// already established the setup state (via [`Mti::run_setup`] or a
+    /// snapshot restore); this installs the reordering controls and runs
+    /// the Figure 5 choreography.
     pub fn run_pair_pooled(&self, m: &PooledMachine) -> RunOutcome {
         self.install_controls(m.kctx());
         let (a, b) = self.pair();
@@ -135,7 +135,7 @@ impl Mti {
     }
 
     /// [`Mti::run_recorded`] on an existing machine (the fuzzer's
-    /// fresh-boot path boots its own so it can select the executor first).
+    /// fresh-boot path boots its own under the campaign's memory model).
     pub fn run_recorded_on(&self, k: &Arc<Kctx>) -> RecordedRun {
         self.run_setup(k);
         self.install_controls(k);

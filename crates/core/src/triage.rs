@@ -26,8 +26,8 @@
 //!
 //! The shrinking loop is deterministic (no RNG) and runs to a fixed
 //! point, so minimization is idempotent and byte-reproducible — pinned by
-//! `tests/triage_minimal.rs` across both executors and all three memory
-//! models, and by golden minimized traces under `tests/golden/`.
+//! `tests/triage_minimal.rs` across all three memory models, and by
+//! golden minimized traces under `tests/golden/`.
 
 use std::time::Instant;
 

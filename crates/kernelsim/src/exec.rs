@@ -11,60 +11,24 @@
 //! syscalls plus an [`ExecDrive`] saying what steers the interleaving — a
 //! live [`SchedulePlan`], the same plan in record mode, or a previously
 //! recorded [`ScheduleTrace`] to replay. [`execute`] is the single
-//! dispatch point; every mode/executor combination funnels through it, so
-//! the record/replay/model flags cannot be combined inconsistently.
+//! dispatch point; every drive funnels through it, so the
+//! record/replay/model flags cannot be combined inconsistently.
 //!
-//! The dispatch honours the machine's [`ExecMode`]: the *stepped* executor
-//! (default) runs both legs interleaved on the calling thread via
-//! [`ksched::StepScheduler`], while the *threaded* executor serialises two
-//! OS threads (spawned, or the machine pool's persistent workers) through
-//! [`ksched::Scheduler`]. The two produce byte-identical outcomes, traces,
-//! and state digests — pinned by `tests/exec_equivalence.rs` — and differ
-//! only in throughput.
+//! Both legs run interleaved on the calling thread under a
+//! [`ksched::StepScheduler`]: a context switch is a nested call into the
+//! peer leg. A pair has at most one deliberate handoff, so that nesting is
+//! all the executor ever needs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use kmem::CrashReport;
-use ksched::{SchedulePlan, Scheduler, StepScheduler};
+use ksched::{SchedulePlan, StepScheduler};
 use kutil::sync::Mutex;
 use oemu::{ScheduleTrace, SwitchPoint, Tid};
 
 use crate::kctx::{CrashSignal, Kctx, ECRASH};
-use crate::pool::CpuWorkers;
 use crate::syscalls::{dispatch, Syscall};
-
-/// Which executor runs the two legs of a concurrent pair.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// One OS thread per simulated CPU, serialised by the token-passing
-    /// [`Scheduler`] (spawned threads, or the pool's persistent workers).
-    Threaded = 0,
-    /// Both simulated CPUs interleaved on the calling thread by the
-    /// [`StepScheduler`]; a context switch is a nested function call.
-    #[default]
-    Stepped = 1,
-}
-
-impl ExecMode {
-    /// The process-wide default, from the `OZZ_EXEC` environment variable:
-    /// `stepped` selects the stepped executor, `threaded` the threaded
-    /// one; unset defaults to stepped. Any other value panics: a typo
-    /// like `OZZ_EXEC=threded` must not silently test the wrong executor.
-    pub fn from_env() -> Self {
-        match std::env::var("OZZ_EXEC") {
-            Err(_) => ExecMode::Stepped,
-            Ok(v) => match v.as_str() {
-                "stepped" => ExecMode::Stepped,
-                "threaded" => ExecMode::Threaded,
-                _ => panic!(
-                    "unrecognized OZZ_EXEC value {v:?}: valid values are \"stepped\", \
-                     \"threaded\" (unset defaults to stepped)"
-                ),
-            },
-        }
-    }
-}
 
 /// Result of one concurrent test run.
 #[derive(Clone, Debug)]
@@ -120,8 +84,8 @@ pub enum ExecDrive<'t> {
 /// One concurrent pair execution, fully specified: the two syscalls and
 /// what drives their interleaving. Built with [`ExecRequest::live`],
 /// [`ExecRequest::recorded`], or [`ExecRequest::replay`] and run by
-/// [`execute`] (fresh/spawned) or [`crate::PooledMachine::execute`]
-/// (pooled) — the record/replay/model flags all travel together, so they
+/// [`execute`] (or [`crate::PooledMachine::execute`] on a pooled
+/// machine) — the record/replay/model flags all travel together, so they
 /// cannot be combined inconsistently.
 #[derive(Clone, Debug)]
 pub struct ExecRequest<'t> {
@@ -203,22 +167,30 @@ impl ExecReply {
 /// Runs one syscall on CPU `t` with oops isolation and the syscall-exit
 /// store-buffer flush. Returns the syscall's value, or [`ECRASH`].
 pub fn run_one(k: &Kctx, t: Tid, sc: Syscall) -> i64 {
-    let result = catch_unwind(AssertUnwindSafe(|| dispatch(k, t, sc)));
-    match result {
+    settle(isolate(k, t, |k| dispatch(k, t, sc)))
+}
+
+/// A leg's result: the syscall's value (or [`ECRASH`]), or the payload of
+/// a harness panic that is not a simulated oops, to be re-raised.
+type LegResult = Result<i64, Box<dyn std::any::Any + Send>>;
+
+/// Runs `body` as CPU `t` with oops isolation and the syscall-exit
+/// store-buffer flush.
+fn isolate(k: &Kctx, t: Tid, body: impl FnOnce(&Kctx) -> i64) -> LegResult {
+    match catch_unwind(AssertUnwindSafe(|| body(k))) {
         Ok(ret) => {
             k.syscall_exit(t);
-            ret
+            Ok(ret)
         }
-        Err(payload) => {
-            if payload.downcast_ref::<CrashSignal>().is_some() {
-                // The CPU oopsed: its task dies without returning to
-                // userspace (no exit flush), and the report is in the sink.
-                ECRASH
-            } else {
-                std::panic::resume_unwind(payload);
-            }
-        }
+        // The CPU oopsed: its task dies without returning to userspace (no
+        // exit flush), and the report is in the sink.
+        Err(payload) if payload.downcast_ref::<CrashSignal>().is_some() => Ok(ECRASH),
+        Err(payload) => Err(payload),
     }
+}
+
+fn settle(r: LegResult) -> i64 {
+    r.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Runs a sequence of syscalls single-threaded on CPU 0 (the STI execution
@@ -232,82 +204,30 @@ pub fn run_sti(k: &Kctx, calls: &[Syscall]) -> Vec<i64> {
 /// The closures receive the [`Kctx`] and must perform their accesses as the
 /// thread they were placed on (`a` as `Tid(0)`, `b` as `Tid(1)`). Crash
 /// reports are drained into the outcome.
-///
-/// Always uses the threaded executor: borrowing closures cannot be boxed
-/// into the step scheduler's `'static` legs. The syscall-based entry points
-/// ([`run_concurrent`] and friends) honour the machine's [`ExecMode`].
 pub fn run_concurrent_closures(
     k: &Arc<Kctx>,
     plan: SchedulePlan,
-    a: impl FnOnce(&Kctx) -> i64 + Send,
-    b: impl FnOnce(&Kctx) -> i64 + Send,
+    a: impl FnOnce(&Kctx) -> i64 + Send + 'static,
+    b: impl FnOnce(&Kctx) -> i64 + Send + 'static,
 ) -> RunOutcome {
-    run_closures_with(k, Arc::new(Scheduler::new(2, plan)), a, b)
+    run_legs(k, Arc::new(StepScheduler::new(2, plan)), a, b)
 }
 
-/// [`run_concurrent_closures`] with a caller-supplied scheduler (the
-/// record/replay entry points construct theirs in a non-default mode).
-fn run_closures_with(
-    k: &Arc<Kctx>,
-    sched: Arc<Scheduler>,
-    a: impl FnOnce(&Kctx) -> i64 + Send,
-    b: impl FnOnce(&Kctx) -> i64 + Send,
-) -> RunOutcome {
-    k.set_scheduler(Some(Arc::clone(&sched)));
-    let (ret_a, ret_b) = std::thread::scope(|s| {
-        let (kk, sc) = (Arc::clone(k), Arc::clone(&sched));
-        let ha = s.spawn(move || run_leg(&kk, &sc, Tid(0), a));
-        let (kk, sc) = (Arc::clone(k), Arc::clone(&sched));
-        let hb = s.spawn(move || run_leg(&kk, &sc, Tid(1), b));
-        (join_leg(ha), join_leg(hb))
-    });
-    k.set_scheduler(None);
-    k.engine.clear_controls(Tid(0));
-    k.engine.clear_controls(Tid(1));
-    RunOutcome {
-        crashes: k.sink.take(),
-        ret_a,
-        ret_b,
-    }
-}
-
-/// Runs one [`ExecRequest`] on a fresh (non-pooled) machine — the single
-/// public dispatch point for concurrent pair execution. Spawns threads
-/// only when the machine's [`ExecMode`] is threaded; use
-/// [`crate::PooledMachine::execute`] to run on a pool's persistent
-/// workers instead.
+/// Runs one [`ExecRequest`] on a machine — the single public dispatch
+/// point for concurrent pair execution, and the one place every drive is
+/// decided. Engine-side record/replay bracketing lives here too, so a
+/// request can never, say, start replay consumption without the matching
+/// model check or leave a recording dangling.
 ///
 /// For `Record` drives the reply's trace fully determines the outcome —
 /// scheduler switch points plus every engine delay/versioning decision —
 /// and replaying it (a `Replay` drive) against the same pre-run kernel
 /// state reproduces the identical outcome and `state_digest`.
 pub fn execute(k: &Arc<Kctx>, req: ExecRequest<'_>) -> ExecReply {
-    dispatch_request(k, Lanes::Spawn, req)
-}
-
-/// [`execute`] on the machine pool's persistent CPU workers (threaded
-/// mode only; a stepped-mode machine never touches the lanes).
-pub(crate) fn execute_on(k: &Arc<Kctx>, workers: &CpuWorkers, req: ExecRequest<'_>) -> ExecReply {
-    dispatch_request(k, Lanes::Workers(workers), req)
-}
-
-/// Where the threaded executor's two legs run.
-enum Lanes<'w> {
-    /// Scoped threads spawned for this one pair.
-    Spawn,
-    /// The machine pool's persistent parked workers.
-    Workers(&'w CpuWorkers),
-}
-
-/// The one place every mode combination is decided: drive × executor ×
-/// lanes. Engine-side record/replay bracketing lives here too, so a
-/// request can never, say, start replay consumption without the matching
-/// model check or leave a recording dangling.
-fn dispatch_request(k: &Arc<Kctx>, lanes: Lanes<'_>, req: ExecRequest<'_>) -> ExecReply {
     let ExecRequest { a, b, drive } = req;
     match drive {
         ExecDrive::Live(plan) => {
-            let (outcome, _) = run_pair(k, lanes, PairSched::Live(plan), a, b);
+            let (outcome, _) = run_pair(k, PairSched::Live(plan), a, b);
             ExecReply {
                 outcome,
                 trace: None,
@@ -317,7 +237,7 @@ fn dispatch_request(k: &Arc<Kctx>, lanes: Lanes<'_>, req: ExecRequest<'_>) -> Ex
         ExecDrive::Record(plan) => {
             let first = plan.first;
             k.engine.start_trace_recording();
-            let (outcome, switches) = run_pair(k, lanes, PairSched::Record(plan), a, b);
+            let (outcome, switches) = run_pair(k, PairSched::Record(plan), a, b);
             let trace = ScheduleTrace {
                 model: k.engine.memory_model(),
                 first,
@@ -333,7 +253,7 @@ fn dispatch_request(k: &Arc<Kctx>, lanes: Lanes<'_>, req: ExecRequest<'_>) -> Ex
         }
         ExecDrive::Replay(trace) if trace.sparse => {
             check_replay_model(k, trace);
-            run_sparse_replay(k, lanes, trace, a, b)
+            run_sparse_replay(k, trace, a, b)
         }
         ExecDrive::Replay(trace) => {
             check_replay_model(k, trace);
@@ -342,7 +262,7 @@ fn dispatch_request(k: &Arc<Kctx>, lanes: Lanes<'_>, req: ExecRequest<'_>) -> Ex
                 first: trace.first,
                 switches: &trace.switches,
             };
-            let (outcome, _) = run_pair(k, lanes, spec, a, b);
+            let (outcome, _) = run_pair(k, spec, a, b);
             let status = k.engine.finish_trace_replay();
             ExecReply {
                 outcome,
@@ -367,13 +287,7 @@ fn dispatch_request(k: &Arc<Kctx>, lanes: Lanes<'_>, req: ExecRequest<'_>) -> Ex
 /// a switch that fails to fire changes the interleaving, which either
 /// suppresses a decision — caught here — or changes the outcome/digest the
 /// caller compares.)
-fn run_sparse_replay(
-    k: &Arc<Kctx>,
-    lanes: Lanes<'_>,
-    trace: &ScheduleTrace,
-    a: Syscall,
-    b: Syscall,
-) -> ExecReply {
+fn run_sparse_replay(k: &Arc<Kctx>, trace: &ScheduleTrace, a: Syscall, b: Syscall) -> ExecReply {
     for step in &trace.steps {
         match *step {
             oemu::TraceStep::Store {
@@ -396,7 +310,7 @@ fn run_sparse_replay(
         first: trace.first,
         switches: &trace.switches,
     };
-    let (outcome, _) = run_pair(k, lanes, spec, a, b);
+    let (outcome, _) = run_pair(k, spec, a, b);
     let executed = k.engine.take_recorded_trace();
     let consumed = trace.steps.iter().filter(|s| executed.contains(s)).count();
     ExecReply {
@@ -410,7 +324,7 @@ fn run_sparse_replay(
     }
 }
 
-/// Scheduler construction spec, shared between the two executors.
+/// How the pair's step scheduler is constructed.
 enum PairSched<'t> {
     Live(SchedulePlan),
     Record(SchedulePlan),
@@ -420,101 +334,43 @@ enum PairSched<'t> {
     },
 }
 
-/// Runs `a` ∥ `b` under the given scheduling spec, selecting the executor
-/// from the machine's [`ExecMode`]. Returns the switch log for record
-/// specs.
-///
-/// A stepped-mode machine replays trace logs with more than one switch
-/// point on the threaded executor: non-LIFO resumption cannot be expressed
-/// as nested calls. Recorded logs never exceed one switch (the plan's
-/// single breakpoint disarms on firing), so this fallback only triggers on
-/// hand-written traces.
+/// Runs syscall `a` on CPU 0 and `b` on CPU 1 under the given scheduling
+/// spec. Returns the switch log for record specs.
 fn run_pair(
     k: &Arc<Kctx>,
-    lanes: Lanes<'_>,
     spec: PairSched<'_>,
     a: Syscall,
     b: Syscall,
 ) -> (RunOutcome, Option<Vec<SwitchPoint>>) {
     let record = matches!(spec, PairSched::Record(_));
-    let stepped = k.exec_mode() == ExecMode::Stepped
-        && !matches!(&spec, PairSched::Replay { switches, .. } if switches.len() > 1);
-    if stepped {
-        let sched = Arc::new(match spec {
-            PairSched::Live(plan) => StepScheduler::new(2, plan),
-            PairSched::Record(plan) => StepScheduler::recording(2, plan),
-            PairSched::Replay { first, switches } => {
-                StepScheduler::replaying(2, first, switches.to_vec())
-            }
-        });
-        let out = run_stepped_with(k, Arc::clone(&sched), a, b);
-        (out, record.then(|| sched.take_switch_log()))
-    } else {
-        let sched = Arc::new(match spec {
-            PairSched::Live(plan) => Scheduler::new(2, plan),
-            PairSched::Record(plan) => Scheduler::recording(2, plan),
-            PairSched::Replay { first, switches } => {
-                Scheduler::replaying(2, first, switches.to_vec())
-            }
-        });
-        let out = match lanes {
-            Lanes::Spawn => run_closures_with(
-                k,
-                Arc::clone(&sched),
-                move |k| dispatch(k, Tid(0), a),
-                move |k| dispatch(k, Tid(1), b),
-            ),
-            Lanes::Workers(w) => run_on_workers_with(k, w, Arc::clone(&sched), a, b),
-        };
-        (out, record.then(|| sched.take_switch_log()))
-    }
+    let sched = Arc::new(match spec {
+        PairSched::Live(plan) => StepScheduler::new(2, plan),
+        PairSched::Record(plan) => StepScheduler::recording(2, plan),
+        PairSched::Replay { first, switches } => {
+            StepScheduler::replaying(2, first, switches.to_vec())
+        }
+    });
+    let out = run_legs(
+        k,
+        Arc::clone(&sched),
+        move |k| dispatch(k, Tid(0), a),
+        move |k| dispatch(k, Tid(1), b),
+    );
+    (out, record.then(|| sched.take_switch_log()))
 }
 
-/// Runs two syscalls concurrently on CPUs 0 and 1 under `plan`.
-#[deprecated(note = "build an ExecRequest::live and call execute()")]
-pub fn run_concurrent(k: &Arc<Kctx>, plan: SchedulePlan, a: Syscall, b: Syscall) -> RunOutcome {
-    execute(k, ExecRequest::live(plan, a, b)).outcome
-}
-
-/// Runs two syscalls under `plan` with the decision stream recorded.
-#[deprecated(note = "build an ExecRequest::recorded and call execute()")]
-pub fn run_concurrent_recorded(
-    k: &Arc<Kctx>,
-    plan: SchedulePlan,
-    a: Syscall,
-    b: Syscall,
-) -> (RunOutcome, ScheduleTrace) {
-    execute(k, ExecRequest::recorded(plan, a, b)).into_recorded()
-}
-
-/// Re-runs a pair slaved to a recorded trace instead of a live plan.
-#[deprecated(note = "build an ExecRequest::replay and call execute()")]
-pub fn run_concurrent_replay(
-    k: &Arc<Kctx>,
-    trace: &ScheduleTrace,
-    a: Syscall,
-    b: Syscall,
-) -> (RunOutcome, ReplayReport) {
-    execute(k, ExecRequest::replay(trace, a, b)).into_replayed()
-}
-
-/// A leg's result slot: filled by the leg closure, settled by the driver.
-type LegResult = Result<i64, Box<dyn std::any::Any + Send>>;
-
-/// The stepped executor's core: installs both syscalls as legs on the step
-/// scheduler and runs them to completion on the calling thread. The
-/// choreography per leg (scheduler start, oops isolation, syscall-exit
-/// flush, finish) mirrors [`run_leg`] exactly, and results settle in the
-/// same a-then-b order as the threaded joins.
-fn run_stepped_with(
+/// The executor's core: installs both bodies as legs on the step scheduler
+/// and runs them to completion on the calling thread. Results settle in
+/// a-then-b order, after both legs have finished.
+fn run_legs(
     k: &Arc<Kctx>,
     sched: Arc<StepScheduler>,
-    a: Syscall,
-    b: Syscall,
+    a: impl FnOnce(&Kctx) -> i64 + Send + 'static,
+    b: impl FnOnce(&Kctx) -> i64 + Send + 'static,
 ) -> RunOutcome {
     k.set_step_scheduler(Some(Arc::clone(&sched)));
-    let cell_a = install_stepped_leg(k, &sched, Tid(0), a);
-    let cell_b = install_stepped_leg(k, &sched, Tid(1), b);
+    let cell_a = install_leg(k, &sched, Tid(0), a);
+    let cell_b = install_leg(k, &sched, Tid(1), b);
     sched.run();
     k.set_step_scheduler(None);
     k.engine.clear_controls(Tid(0));
@@ -528,52 +384,26 @@ fn run_stepped_with(
     }
 }
 
-/// Boxes one syscall into a `'static` leg writing its result into the
+/// Boxes `body` into CPU `t`'s leg, which writes its result into the
 /// returned cell.
-fn install_stepped_leg(
+fn install_leg(
     k: &Arc<Kctx>,
     sched: &Arc<StepScheduler>,
     t: Tid,
-    sc: Syscall,
+    body: impl FnOnce(&Kctx) -> i64 + Send + 'static,
 ) -> Arc<Mutex<Option<LegResult>>> {
     let cell = Arc::new(Mutex::new(None));
     let (kk, sch, out) = (Arc::clone(k), Arc::clone(sched), Arc::clone(&cell));
     sched.set_leg(
         t,
         Box::new(move || {
-            let r = run_leg_stepped(&kk, &sch, t, move |k| dispatch(k, t, sc));
+            sch.leg_start(t);
+            let r = isolate(&kk, t, body);
+            sch.leg_finish(t);
             *out.lock() = Some(r);
         }),
     );
     cell
-}
-
-/// [`run_leg`] for the step scheduler: identical oops isolation and
-/// syscall-exit flush, with `leg_start`/`leg_finish` in place of the
-/// threaded `thread_start`/`thread_finish` handshake.
-fn run_leg_stepped(
-    k: &Kctx,
-    sched: &StepScheduler,
-    t: Tid,
-    body: impl FnOnce(&Kctx) -> i64,
-) -> LegResult {
-    sched.leg_start(t);
-    let result = catch_unwind(AssertUnwindSafe(|| body(k)));
-    let out = match result {
-        Ok(ret) => {
-            k.syscall_exit(t);
-            Ok(ret)
-        }
-        Err(payload) => {
-            if payload.downcast_ref::<CrashSignal>().is_some() {
-                Ok(ECRASH)
-            } else {
-                Err(payload)
-            }
-        }
-    };
-    sched.leg_finish(t);
-    out
 }
 
 /// A trace's decision stream only makes sense on a machine running the
@@ -587,93 +417,6 @@ fn check_replay_model(k: &Kctx, trace: &ScheduleTrace) {
         trace.model.name(),
         k.engine.memory_model().name()
     );
-}
-
-fn run_on_workers_with(
-    k: &Arc<Kctx>,
-    workers: &CpuWorkers,
-    sched: Arc<Scheduler>,
-    a: Syscall,
-    b: Syscall,
-) -> RunOutcome {
-    k.set_scheduler(Some(Arc::clone(&sched)));
-    let (tx_a, rx_a) = kutil::chan::channel();
-    let (kk, sc) = (Arc::clone(k), Arc::clone(&sched));
-    workers.submit(
-        0,
-        Box::new(move || {
-            let r = run_leg(&kk, &sc, Tid(0), move |k| dispatch(k, Tid(0), a));
-            let _ = tx_a.send(r);
-        }),
-    );
-    let (tx_b, rx_b) = kutil::chan::channel();
-    let (kk, sc) = (Arc::clone(k), Arc::clone(&sched));
-    workers.submit(
-        1,
-        Box::new(move || {
-            let r = run_leg(&kk, &sc, Tid(1), move |k| dispatch(k, Tid(1), b));
-            let _ = tx_b.send(r);
-        }),
-    );
-    // Collect both legs before settling either, so a harness panic in one
-    // leg cannot leave the other lane's worker wedged mid-run.
-    let ra = rx_a
-        .recv()
-        .unwrap_or_else(|e| panic!("cpu worker 0 dropped its result channel mid-run: {e:?}"));
-    let rb = rx_b
-        .recv()
-        .unwrap_or_else(|e| panic!("cpu worker 1 dropped its result channel mid-run: {e:?}"));
-    k.set_scheduler(None);
-    k.engine.clear_controls(Tid(0));
-    k.engine.clear_controls(Tid(1));
-    let ret_a = settle(ra);
-    let ret_b = settle(rb);
-    RunOutcome {
-        crashes: k.sink.take(),
-        ret_a,
-        ret_b,
-    }
-}
-
-fn settle(r: Result<i64, Box<dyn std::any::Any + Send>>) -> i64 {
-    match r {
-        Ok(ret) => ret,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-fn run_leg(
-    k: &Kctx,
-    sched: &Scheduler,
-    t: Tid,
-    body: impl FnOnce(&Kctx) -> i64,
-) -> Result<i64, Box<dyn std::any::Any + Send>> {
-    sched.thread_start(t);
-    let result = catch_unwind(AssertUnwindSafe(|| body(k)));
-    let out = match result {
-        Ok(ret) => {
-            k.syscall_exit(t);
-            Ok(ret)
-        }
-        Err(payload) => {
-            if payload.downcast_ref::<CrashSignal>().is_some() {
-                Ok(ECRASH)
-            } else {
-                Err(payload)
-            }
-        }
-    };
-    sched.thread_finish(t);
-    out
-}
-
-fn join_leg(
-    h: std::thread::ScopedJoinHandle<'_, Result<i64, Box<dyn std::any::Any + Send>>>,
-) -> i64 {
-    match h.join().expect("simulated CPU thread must not die") {
-        Ok(ret) => ret,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
 }
 
 #[cfg(test)]

@@ -40,15 +40,13 @@ pub use bitops::{
 };
 pub use bugs::{BugId, BugSwitches, ReorderType};
 pub use exec::{
-    execute, run_concurrent_closures, run_one, run_sti, ExecDrive, ExecMode, ExecReply,
-    ExecRequest, ReplayReport, RunOutcome,
+    execute, run_concurrent_closures, run_one, run_sti, ExecDrive, ExecReply, ExecRequest,
+    ReplayReport, RunOutcome,
 };
-#[allow(deprecated)]
-pub use exec::{run_concurrent, run_concurrent_recorded, run_concurrent_replay};
 pub use kctx::{
     CrashSignal, FnFrame, Globals, Kctx, MachineSnapshot, EAGAIN, EBADF, EBUSY, ECRASH, EINVAL,
     MAX_CPUS,
 };
 pub use oemu::MemoryModel;
-pub use pool::{CpuWorkers, MachinePool, PooledMachine, RestoreCounters};
+pub use pool::{MachinePool, PooledMachine, RestoreCounters};
 pub use syscalls::{dispatch, Syscall};

@@ -1,16 +1,11 @@
-//! Machine pool and persistent CPU workers: zero-boot MTI execution.
+//! Machine pool: zero-boot MTI execution.
 //!
 //! The paper runs tests *in-vivo* inside long-lived QEMU/KVM VMs — a
 //! machine boots once and then executes test after test, with the executor
 //! processes reused across programs the way Syzkaller reuses them. This
 //! module gives the reproduction the same discipline:
 //!
-//! - [`CpuWorkers`]: two parked OS threads per machine standing in for its
-//!   simulated CPUs. A concurrent run hands each one a closure over a
-//!   channel instead of spawning fresh threads, while the custom
-//!   scheduler's handshake (`thread_start` → gates → `thread_finish`) and
-//!   the oops isolation are exactly those of the spawning executor.
-//! - [`PooledMachine`]: a booted [`Kctx`] bundled with its workers.
+//! - [`PooledMachine`]: a booted [`Kctx`] that runs test after test.
 //! - [`MachinePool`]: a shelf of reset machines keyed by [`BugSwitches`].
 //!   Checking a machine in rolls it back to its boot snapshot
 //!   ([`Kctx::reset`]), so a checkout is always byte-identical to a fresh
@@ -18,111 +13,22 @@
 //!   cost.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
-use ksched::SchedulePlan;
-use kutil::chan::{channel, Sender};
 use kutil::sync::Mutex;
 
 use crate::bugs::BugSwitches;
-use crate::exec::{
-    execute, execute_on, ExecMode, ExecReply, ExecRequest, ReplayReport, RunOutcome,
-};
+use crate::exec::{execute, ExecReply, ExecRequest};
 use crate::kctx::Kctx;
-use crate::syscalls::Syscall;
-use oemu::{MemoryModel, ScheduleTrace};
+use oemu::MemoryModel;
 
-/// A unit of work shipped to a parked CPU worker.
-pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Lane {
-    /// `Some` while the worker runs; dropped to disconnect the channel and
-    /// let the worker exit.
-    tx: Option<Sender<Job>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// A fixed set of persistent worker threads, one per simulated CPU lane.
-///
-/// Workers park on a channel `recv` between jobs; a simulated oops unwinds
-/// inside the job (caught at the syscall boundary exactly as on a spawned
-/// thread) and never kills the worker.
-pub struct CpuWorkers {
-    lanes: Vec<Lane>,
-}
-
-impl CpuWorkers {
-    /// Spawns `nlanes` parked worker threads.
-    pub fn new(nlanes: usize) -> Self {
-        let lanes = (0..nlanes)
-            .map(|i| {
-                let (tx, rx) = channel::<Job>();
-                let handle = std::thread::Builder::new()
-                    .name(format!("ozz-cpu-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("spawn cpu worker");
-                Lane {
-                    tx: Some(tx),
-                    handle: Some(handle),
-                }
-            })
-            .collect();
-        CpuWorkers { lanes }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Ships a job to lane `lane`. Jobs on one lane run in FIFO order.
-    pub(crate) fn submit(&self, lane: usize, job: Job) {
-        self.lanes[lane]
-            .tx
-            .as_ref()
-            .expect("worker running")
-            .send(job)
-            .unwrap_or_else(|_| {
-                panic!("cpu worker lane {lane} hung up before its job (SendError)")
-            });
-    }
-}
-
-impl Drop for CpuWorkers {
-    fn drop(&mut self) {
-        // Disconnect every lane first, then join: a worker exits when its
-        // channel drains and hangs up.
-        for lane in &mut self.lanes {
-            lane.tx = None;
-        }
-        for lane in &mut self.lanes {
-            if let Some(h) = lane.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// A booted machine plus its (lazily spawned) persistent CPU workers,
-/// ready to run MTIs without booting or spawning anything.
-///
-/// [`PooledMachine::execute`] dispatches on the machine's [`ExecMode`]:
-/// in stepped mode (the default) both legs run on the calling thread and
-/// the worker lanes are never spawned; in threaded mode the first run
-/// spawns the two persistent workers and every later run reuses them.
+/// A booted machine, ready to run MTIs without booting anything.
 pub struct PooledMachine {
     k: Arc<Kctx>,
-    workers: OnceLock<CpuWorkers>,
 }
 
 impl PooledMachine {
-    /// Boots a fresh TSO machine. Worker lanes are spawned on first
-    /// threaded use, so a stepped-mode campaign pays no thread cost at all.
+    /// Boots a fresh TSO machine.
     pub fn boot(bugs: BugSwitches) -> Self {
         Self::boot_with_model(bugs, MemoryModel::Tso)
     }
@@ -131,7 +37,6 @@ impl PooledMachine {
     pub fn boot_with_model(bugs: BugSwitches, model: MemoryModel) -> Self {
         PooledMachine {
             k: Kctx::new_with_model(bugs, model),
-            workers: OnceLock::new(),
         }
     }
 
@@ -140,53 +45,10 @@ impl PooledMachine {
         &self.k
     }
 
-    fn workers(&self) -> &CpuWorkers {
-        self.workers.get_or_init(|| CpuWorkers::new(2))
-    }
-
     /// Runs one [`ExecRequest`] on this machine — the pooled counterpart
-    /// of [`crate::execute`]. In threaded mode the legs run on the
-    /// machine's persistent workers (spawned on first use); in stepped
-    /// mode everything stays on the calling thread and no worker threads
-    /// are ever created.
+    /// of [`crate::execute`]. Both legs run on the calling thread.
     pub fn execute(&self, req: ExecRequest<'_>) -> ExecReply {
-        match self.k.exec_mode() {
-            // Don't touch the lazy worker lanes in stepped mode: the
-            // stepped executor ignores them, and `workers()` would spawn
-            // two idle threads per machine for nothing.
-            ExecMode::Stepped => execute(&self.k, req),
-            ExecMode::Threaded => execute_on(&self.k, self.workers(), req),
-        }
-    }
-
-    /// Runs two syscalls concurrently.
-    #[deprecated(note = "build an ExecRequest::live and call PooledMachine::execute()")]
-    pub fn run_pair(&self, plan: SchedulePlan, a: Syscall, b: Syscall) -> RunOutcome {
-        self.execute(ExecRequest::live(plan, a, b)).outcome
-    }
-
-    /// Runs two syscalls with the decision stream recorded.
-    #[deprecated(note = "build an ExecRequest::recorded and call PooledMachine::execute()")]
-    pub fn run_pair_recorded(
-        &self,
-        plan: SchedulePlan,
-        a: Syscall,
-        b: Syscall,
-    ) -> (RunOutcome, ScheduleTrace) {
-        self.execute(ExecRequest::recorded(plan, a, b))
-            .into_recorded()
-    }
-
-    /// Replays a recorded trace.
-    #[deprecated(note = "build an ExecRequest::replay and call PooledMachine::execute()")]
-    pub fn run_pair_replay(
-        &self,
-        trace: &ScheduleTrace,
-        a: Syscall,
-        b: Syscall,
-    ) -> (RunOutcome, ReplayReport) {
-        self.execute(ExecRequest::replay(trace, a, b))
-            .into_replayed()
+        execute(&self.k, req)
     }
 }
 
@@ -288,7 +150,7 @@ pub struct RestoreCounters {
 mod tests {
     use super::*;
     use crate::kctx::ECRASH;
-    use ksched::{BreakWhen, Breakpoint};
+    use ksched::{BreakWhen, Breakpoint, SchedulePlan};
     use oemu::{AccessKind, Tid};
 
     #[test]
@@ -331,9 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_run_matches_spawned_run() {
+    fn pooled_run_matches_fresh_run() {
         // The Figure 5a store-barrier forcing of the exec tests, executed
-        // once on spawned threads and once on persistent workers: same
+        // once on a freshly booted machine and once on a pooled one: same
         // crash title, same return values.
         let profile = {
             let k = Kctx::new(BugSwitches::all());
@@ -361,7 +223,7 @@ mod tests {
         for a in rest {
             k.engine.delay_store_at(Tid(0), a.iid);
         }
-        let spawned = execute(
+        let fresh = execute(
             &k,
             ExecRequest::live(plan(), crate::Syscall::WqPost, crate::Syscall::PipeRead),
         )
@@ -380,14 +242,14 @@ mod tests {
             ))
             .outcome;
 
-        assert_eq!(spawned.title(), pooled.title());
-        assert_eq!(spawned.title().unwrap(), pooled.title().unwrap());
-        assert_eq!((spawned.ret_a, spawned.ret_b), (pooled.ret_a, pooled.ret_b));
+        assert_eq!(fresh.title(), pooled.title());
+        assert_eq!(fresh.title().unwrap(), pooled.title().unwrap());
+        assert_eq!((fresh.ret_a, fresh.ret_b), (pooled.ret_a, pooled.ret_b));
         assert_eq!(pooled.ret_b, ECRASH);
     }
 
     #[test]
-    fn workers_survive_an_oops_and_run_again() {
+    fn checked_in_machine_runs_again() {
         let pool = MachinePool::new();
         let bugs = BugSwitches::all();
         let mut m = pool.checkout(&bugs);

@@ -124,6 +124,9 @@ pub struct ReplayStatus {
     pub total: usize,
 }
 
+/// Threads in a traced pair run: a trace replays onto exactly two legs.
+const PAIR_THREADS: usize = 2;
+
 // Trace serialization of instruction ids is the workspace-wide token form
 // (`Iid::to_token` / `Iid::from_token`); these aliases keep the format
 // code below compact.
@@ -283,6 +286,11 @@ impl ScheduleTrace {
     /// pluggable models); `v2` requires an explicit `model` line; `v3`
     /// additionally requires the `sparse` marker (the version exists only
     /// for sparse traces).
+    ///
+    /// Rejects what a pair run can never have recorded, so replay never
+    /// sees it: more than one `switch` line (the single breakpoint disarms
+    /// when it fires, and a second handoff would need non-LIFO resumption)
+    /// and any thread id outside the pair's two legs.
     pub fn parse(text: &str) -> Result<ScheduleTrace, String> {
         let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
         let version = match lines.next() {
@@ -305,11 +313,14 @@ impl ScheduleTrace {
             let fields: Vec<&str> = line.split_whitespace().collect();
             let ctx = || format!("bad trace line {line:?}");
             let tid_at = |i: usize| -> Result<Tid, String> {
-                fields
+                let t = fields
                     .get(i)
                     .and_then(|s| s.parse::<usize>().ok())
-                    .map(Tid)
-                    .ok_or_else(ctx)
+                    .ok_or_else(ctx)?;
+                if t >= PAIR_THREADS {
+                    return Err(format!("thread id {t} outside the pair in {line:?}"));
+                }
+                Ok(Tid(t))
             };
             let num_at = |i: usize| -> Result<u32, String> {
                 fields
@@ -380,6 +391,12 @@ impl ScheduleTrace {
         };
         if version >= 3 && !sparse {
             return Err("v3 trace missing sparse marker".into());
+        }
+        if switches.len() > 1 {
+            return Err(format!(
+                "trace has {} switch lines; a pair run hands off at most once",
+                switches.len()
+            ));
         }
         Ok(ScheduleTrace {
             model,
@@ -551,5 +568,20 @@ mod tests {
             ScheduleTrace::parse("ozz-trace v1\nsparse\nfirst 0\nend\n").is_err(),
             "v1/v2 traces are never sparse"
         );
+        assert!(
+            ScheduleTrace::parse("ozz-trace v1\nfirst 0\nswitch 0 1 1\nswitch 1 1 0\nend\n")
+                .is_err(),
+            "a second switch would need non-LIFO resumption"
+        );
+        for bad in [
+            "ozz-trace v1\nfirst 2\nend\n",
+            "ozz-trace v1\nfirst 0\nswitch 2 1 0\nend\n",
+            "ozz-trace v1\nfirst 0\nswitch 0 1 2\nend\n",
+            "ozz-trace v1\nfirst 0\nstore 2 t.rs:1:2 delayed\nend\n",
+            "ozz-trace v3\nmodel tso\nsparse\nfirst 0\nload 3 t.rs:1:2 ver\nend\n",
+        ] {
+            let err = ScheduleTrace::parse(bad).expect_err(bad);
+            assert!(err.contains("outside the pair"), "{bad:?}: {err}");
+        }
     }
 }

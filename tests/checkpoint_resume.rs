@@ -5,17 +5,17 @@
 //! diagnoses with embedded schedule traces, and the per-shard broadcast
 //! protocol state. These tests enforce the strongest form of that claim:
 //! a campaign halted mid-budget and resumed **in a fresh process** must
-//! render byte-identically to an uninterrupted run — for multiple seeds
-//! and under both executors.
+//! render byte-identically to an uninterrupted run — for multiple seeds,
+//! and with the resumed process running a different number of workers.
 //!
 //! The fresh process is this same test binary re-executed with
 //! `resume_helper --exact`: the helper is an env-gated test that resumes
 //! from `OZZ_RESUME_CHECKPOINT` and writes its rendered report to
-//! `OZZ_RESUME_OUT` (it passes trivially when the variables are unset).
+//! `OZZ_RESUME_OUT` on `OZZ_RESUME_WORKERS` workers (it passes trivially
+//! when the variables are unset).
 
 use std::path::PathBuf;
 
-use kernelsim::ExecMode;
 use ozz::campaign::{CampaignBuilder, CampaignReport};
 
 const SHARDS: usize = 3;
@@ -56,45 +56,35 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn exec_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Stepped => "stepped",
-        ExecMode::Threaded => "threaded",
-    }
-}
-
 /// Runs the uninterrupted reference campaign in-process.
-fn full_run(seed: u64, mode: ExecMode) -> CampaignReport {
+fn full_run(seed: u64) -> CampaignReport {
     CampaignBuilder::new(seed)
         .shards(SHARDS)
         .workers(WORKERS)
         .budget(BUDGET)
         .epoch_mtis(EPOCH_MTIS)
-        .exec_mode(mode)
         .run()
 }
 
 /// Halts a campaign mid-budget, writing the checkpoint to `ckpt`.
-fn halted_run(seed: u64, mode: ExecMode, ckpt: &PathBuf) -> CampaignReport {
+fn halted_run(seed: u64, ckpt: &PathBuf) -> CampaignReport {
     CampaignBuilder::new(seed)
         .shards(SHARDS)
         .workers(WORKERS)
         .budget(BUDGET)
         .epoch_mtis(EPOCH_MTIS)
-        .exec_mode(mode)
         .checkpoint_to(ckpt)
         .halt_after_epochs(HALT_AFTER)
         .run()
 }
 
-fn assert_resumes_identically_in_fresh_process(seed: u64, mode: ExecMode) {
-    let tag = format!("{seed}-{}", exec_name(mode));
-    let dir = scratch_dir(&tag);
+fn assert_resumes_identically_in_fresh_process(seed: u64, resume_workers: usize) {
+    let dir = scratch_dir(&format!("{seed}-w{resume_workers}"));
     let ckpt = dir.join("campaign.ckpt");
     let out = dir.join("resumed.txt");
 
-    let reference = render(&full_run(seed, mode));
-    let halted = halted_run(seed, mode, &ckpt);
+    let reference = render(&full_run(seed));
+    let halted = halted_run(seed, &ckpt);
     assert!(
         halted.halted,
         "seed {seed}: the campaign must halt mid-budget"
@@ -117,17 +107,15 @@ fn assert_resumes_identically_in_fresh_process(seed: u64, mode: ExecMode) {
         .args(["resume_helper", "--exact", "--nocapture"])
         .env("OZZ_RESUME_CHECKPOINT", &ckpt)
         .env("OZZ_RESUME_OUT", &out)
-        .env("OZZ_EXEC", exec_name(mode))
+        .env("OZZ_RESUME_WORKERS", resume_workers.to_string())
         .status()
         .expect("spawn resume helper process");
     assert!(status.success(), "seed {seed}: resume helper failed");
 
     let resumed = std::fs::read_to_string(&out).expect("helper wrote its render");
     assert_eq!(
-        resumed,
-        reference,
-        "seed {seed} ({}): fresh-process resume diverged from the uninterrupted run",
-        exec_name(mode)
+        resumed, reference,
+        "seed {seed}: fresh-process resume diverged from the uninterrupted run"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -140,9 +128,13 @@ fn resume_helper() {
         return;
     };
     let out = std::env::var("OZZ_RESUME_OUT").expect("OZZ_RESUME_OUT set with the checkpoint");
+    let workers = std::env::var("OZZ_RESUME_WORKERS")
+        .expect("OZZ_RESUME_WORKERS set with the checkpoint")
+        .parse()
+        .expect("OZZ_RESUME_WORKERS is a count");
     let report = CampaignBuilder::resume_from(&ckpt)
         .expect("checkpoint file parses")
-        .workers(WORKERS)
+        .workers(workers)
         .run();
     assert!(!report.halted, "the resumed campaign runs to completion");
     std::fs::write(&out, render(&report)).expect("write the resumed render");
@@ -150,39 +142,17 @@ fn resume_helper() {
 
 #[test]
 fn fresh_process_resume_is_byte_identical_seed_2024() {
-    assert_resumes_identically_in_fresh_process(2024, ExecMode::from_env());
+    assert_resumes_identically_in_fresh_process(2024, WORKERS);
 }
 
 #[test]
 fn fresh_process_resume_is_byte_identical_seed_7() {
-    assert_resumes_identically_in_fresh_process(7, ExecMode::from_env());
+    assert_resumes_identically_in_fresh_process(7, WORKERS);
 }
 
 #[test]
-fn fresh_process_resume_crosses_executors() {
-    // The checkpoint stores no executor state: a campaign halted under one
-    // executor and resumed under the *other* must still match the
-    // reference (which itself is executor-invariant).
-    let reference = render(&full_run(2024, ExecMode::Stepped));
-    let tag = "cross-exec";
-    let dir = scratch_dir(tag);
-    let ckpt = dir.join("campaign.ckpt");
-    let out = dir.join("resumed.txt");
-    let halted = halted_run(2024, ExecMode::Threaded, &ckpt);
-    assert!(halted.halted);
-    let exe = std::env::current_exe().expect("test binary path");
-    let status = std::process::Command::new(exe)
-        .args(["resume_helper", "--exact", "--nocapture"])
-        .env("OZZ_RESUME_CHECKPOINT", &ckpt)
-        .env("OZZ_RESUME_OUT", &out)
-        .env("OZZ_EXEC", "stepped")
-        .status()
-        .expect("spawn resume helper process");
-    assert!(status.success());
-    let resumed = std::fs::read_to_string(&out).expect("helper wrote its render");
-    assert_eq!(
-        resumed, reference,
-        "halt under threaded + resume under stepped diverged"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+fn fresh_process_resume_on_one_worker_is_byte_identical() {
+    // The checkpoint stores no worker-pool state: a campaign halted on
+    // `WORKERS` workers and resumed on one must still match the reference.
+    assert_resumes_identically_in_fresh_process(2024, 1);
 }

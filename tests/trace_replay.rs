@@ -7,7 +7,7 @@
 //! kernel, re-runs the STI setup prefix, and replays the pair slaved to
 //! the trace — no Table 2 controls, no breakpoint plan, no hint search.
 //! Fidelity means: no divergence, same crash title, byte-identical state
-//! digest. Pinned here for two seeds and both executor arms.
+//! digest. Pinned here for two seeds, on pooled and fresh-boot machines.
 
 use kernelsim::BugSwitches;
 use kutil::fnv1a64;
@@ -44,9 +44,8 @@ fn every_campaign_crash_replays_to_identical_verdict_and_digest() {
 
 #[test]
 fn fresh_boot_campaign_traces_replay_too() {
-    // The spawning executor records through a different code path
-    // (`run_concurrent_recorded` vs the pooled worker variant); its traces
-    // must be just as replayable.
+    // A fresh-boot campaign records on a new machine per test instead of
+    // a pooled one; its traces must be just as replayable.
     let f = campaign(2024, 300, false);
     assert!(!f.found().is_empty());
     for (title, bug) in f.found() {

@@ -7,8 +7,8 @@
 //! at least 40%.
 //!
 //! Like every workspace integration test, this honours the ambient
-//! `OZZ_EXEC` / `OZZ_MEMMODEL` environment — ci.sh runs it under both
-//! executors and all three memory models.
+//! `OZZ_MEMMODEL` environment — ci.sh runs it under all three memory
+//! models.
 
 use kernelsim::{BugId, BugSwitches, MachinePool};
 use ozz::repro::replay_trace_on;
