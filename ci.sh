@@ -83,6 +83,10 @@ echo "== trace replay bench (search vs replay) =="
 cargo build --release --offline -p bench --bin trace_replay
 ./target/release/trace_replay 30000 3
 cat BENCH_trace_replay.json
+for key in search_ms replay_ms speedup; do
+    grep -q "\"$key\"" BENCH_trace_replay.json \
+        || { echo "error: $key missing from BENCH_trace_replay.json" >&2; exit 1; }
+done
 
 echo "== formatting =="
 cargo fmt --check

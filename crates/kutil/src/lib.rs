@@ -21,12 +21,15 @@
 //!   corpus broadcasts coordinator→worker).
 //! - [`codec`] — a versioned line-oriented text codec replacing `serde`
 //!   for durable artifacts (campaign checkpoints, the crash database).
+//! - [`hash`] — a fixed SplitMix64-finalizer hasher replacing SipHash for
+//!   the simulated kernel's word table.
 
 #![deny(missing_docs)]
 
 pub mod bench;
 pub mod chan;
 pub mod codec;
+pub mod hash;
 pub mod rng;
 pub mod sync;
 

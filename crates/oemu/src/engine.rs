@@ -270,12 +270,8 @@ fn digest_state(
 ) {
     use std::fmt::Write;
     writeln!(out, "engine clock={clock} seq={seq} profiling={profiling}").unwrap();
-    for (addr, value) in mem.sorted_words() {
-        if let Some((base, end)) = resident {
-            if addr >= base && addr < end {
-                continue;
-            }
-        }
+    let skip = resident.map_or(0..0, |(base, end)| base..end);
+    for (addr, value) in mem.sorted_words(skip) {
         writeln!(out, "mem {addr:#x}={value:#x}").unwrap();
     }
     for r in history.records() {
@@ -921,6 +917,7 @@ impl Engine {
     /// [`raw_store`]: Engine::raw_store
     pub fn install_resident_image(&self, base: u64, words: &[u64]) {
         let mut inner = self.inner.lock();
+        inner.mem.reserve(words.len());
         for (i, w) in words.iter().enumerate() {
             inner.mem.write(base + 8 * i as u64, *w);
         }

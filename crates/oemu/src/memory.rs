@@ -18,6 +18,9 @@
 //! on the hot write path.
 
 use std::collections::HashMap;
+use std::ops::Range;
+
+use kutil::hash::BuildWordHasher;
 
 /// One undo frame: `(addr, pre-image)` pairs in mutation order. `None`
 /// means the slot was absent (reads as zero) before the mutation.
@@ -27,7 +30,11 @@ type UndoFrame = Vec<(u64, Option<u64>)>;
 /// the simulated kernel lays out object fields at 8-byte strides.
 #[derive(Default, Debug)]
 pub struct Memory {
-    words: HashMap<u64, u64>,
+    /// Hashed with [`BuildWordHasher`], not SipHash: the keys are
+    /// simulator-chosen addresses, so a fixed mixing hash is safe and makes
+    /// boot's ~16.5k inserts several times cheaper. Its iteration order is
+    /// deterministic but never observable — every rendering sorts.
+    words: HashMap<u64, u64, BuildWordHasher>,
     /// Undo journal: one frame per armed snapshot, oldest first. Mutations
     /// append pre-images to the top frame; an empty stack journals nothing.
     /// Deliberately excluded from `Clone`: a snapshot's memory copy is pure
@@ -94,10 +101,23 @@ impl Memory {
         self.words.len()
     }
 
-    /// Every written word as `(addr, value)` sorted by address — a
-    /// deterministic rendering of memory contents for state digests.
-    pub fn sorted_words(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.words.iter().map(|(&a, &w)| (a, w)).collect();
+    /// Reserves table capacity for `additional` more words, so a bulk
+    /// install inserts without rehashing along the way.
+    pub fn reserve(&mut self, additional: usize) {
+        self.words.reserve(additional);
+    }
+
+    /// Every written word outside `skip` as `(addr, value)` sorted by
+    /// address — a deterministic rendering of memory contents for state
+    /// digests. Skipped words are dropped while collecting, so a large
+    /// excluded range (the resident image) is never copied or sorted.
+    pub fn sorted_words(&self, skip: Range<u64>) -> Vec<(u64, u64)> {
+        let mut v: Vec<(u64, u64)> = self
+            .words
+            .iter()
+            .filter(|(a, _)| !skip.contains(a))
+            .map(|(&a, &w)| (a, w))
+            .collect();
         v.sort_unstable();
         v
     }
@@ -209,6 +229,27 @@ mod tests {
         mem.write(0, 2);
         mem.write(8, 3);
         assert_eq!(mem.footprint(), 2);
+    }
+
+    #[test]
+    fn sorted_words_skipping_a_range_equals_filtering_the_full_list() {
+        let (base, end) = (0x1000u64, 0x1100u64);
+        let mut mem = Memory::new();
+        // The four edges, a word inside, and words well clear on each side.
+        for addr in [base - 8, base, base + 0x40, end - 8, end, 0x8, 0x9000] {
+            mem.write(addr, addr ^ 0x5a);
+        }
+        let full = mem.sorted_words(0..0);
+        assert_eq!(full.len(), 7, "an empty range skips nothing");
+        let filtered: Vec<_> = full
+            .iter()
+            .copied()
+            .filter(|&(a, _)| a < base || a >= end)
+            .collect();
+        let skipped = mem.sorted_words(base..end);
+        assert_eq!(skipped, filtered);
+        let addrs: Vec<u64> = skipped.iter().map(|&(a, _)| a).collect();
+        assert_eq!(addrs, [0x8, base - 8, end, 0x9000], "sorted, edges exact");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Reset fidelity: pooled machines are indistinguishable from fresh boots.
 //!
 //! The machine pool's contract is that [`Kctx::reset`] rolls a machine back
-//! to *exact* boot state, so a campaign run on pooled, reset machines with
-//! persistent CPU workers must produce byte-identical results to one that
-//! boots a fresh machine and spawns fresh threads for every test. This is
-//! the reproduction's analog of the paper's in-vivo guarantee: reusing a
-//! long-lived VM across tests must not change what the tests observe.
+//! to *exact* boot state, so a campaign run on pooled machines, reset and
+//! reused from step to step, must produce byte-identical results to one
+//! that boots a fresh machine for every step. This is the reproduction's
+//! analog of the paper's in-vivo guarantee: reusing a long-lived VM across
+//! tests must not change what the tests observe.
 //!
 //! These tests run whole campaigns both ways and compare everything the
 //! fuzzer reports: the full `FoundBug` map rendering (titles, diagnoses,
