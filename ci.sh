@@ -28,7 +28,7 @@ for m in tso pso arm; do
     OZZ_MEMMODEL=$m cargo test -q --offline --test lkmm_properties
 done
 
-echo "== restore differential (incremental == full, all models) =="
+echo "== restore differential (restore == fresh boot, all models) =="
 cargo test -q --offline --test restore_differential
 
 echo "== rustdoc (all crates, no warnings) =="
@@ -40,18 +40,24 @@ cargo test -q --offline --test parallel_determinism
 echo "== checkpoint/resume equivalence (kill + fresh-process resume) =="
 cargo test -q --offline --test checkpoint_resume
 
+# The bench smokes below write their JSON into the working directory. They
+# run from a scratch directory so the committed BENCH_*.json files (full
+# runs, with their own arguments) are never overwritten by smoke runs.
+BENCH_DIR=target/ci-bench
+mkdir -p "$BENCH_DIR"
+
 echo "== campaign scaling smoke (8-worker steal dispatch + makespan model) =="
 cargo build --release --offline -p bench --bin parallel_scaling
-./target/release/parallel_scaling
-cat BENCH_parallel_scaling.json
+(cd "$BENCH_DIR" && ../release/parallel_scaling)
+cat "$BENCH_DIR/BENCH_parallel_scaling.json"
 
-echo "== mti throughput smoke (fresh vs full-restore vs dirty-journal pool) =="
+echo "== mti throughput smoke (fresh vs dirty-journal pool) =="
 cargo build --release --offline -p bench --bin mti_throughput
-./target/release/mti_throughput 200 1
-cat BENCH_mti_throughput.json
-grep -q '"stepped_dirty_mtis_per_sec"' BENCH_mti_throughput.json \
+(cd "$BENCH_DIR" && ../release/mti_throughput 200 1)
+cat "$BENCH_DIR/BENCH_mti_throughput.json"
+grep -q '"stepped_dirty_mtis_per_sec"' "$BENCH_DIR/BENCH_mti_throughput.json" \
     || { echo "error: dirty-restore arm missing from BENCH_mti_throughput.json" >&2; exit 1; }
-grep -q '"restore_full_fallbacks": 0' BENCH_mti_throughput.json \
+grep -q '"restore_full_fallbacks": 0' "$BENCH_DIR/BENCH_mti_throughput.json" \
     || { echo "error: dirty-restore arm took a full-restore fallback" >&2; exit 1; }
 
 echo "== record/replay fidelity + oracle matrix + golden traces =="
@@ -68,11 +74,11 @@ done
 
 echo "== trace minimization bench (full corpus shrink + replay cost) =="
 cargo build --release --offline -p bench --bin trace_minimize
-./target/release/trace_minimize
-cat BENCH_trace_minimize.json
+(cd "$BENCH_DIR" && ../release/trace_minimize)
+cat "$BENCH_DIR/BENCH_trace_minimize.json"
 for key in events_before_median events_after_median reduction_pct_median \
     replays_median minimize_wall_ms_median; do
-    grep -q "\"$key\"" BENCH_trace_minimize.json \
+    grep -q "\"$key\"" "$BENCH_DIR/BENCH_trace_minimize.json" \
         || { echo "error: $key missing from BENCH_trace_minimize.json" >&2; exit 1; }
 done
 
@@ -81,10 +87,10 @@ cargo run -q --release --offline -p modelcheck --bin explore -- watch_queue
 
 echo "== trace replay bench (search vs replay) =="
 cargo build --release --offline -p bench --bin trace_replay
-./target/release/trace_replay 30000 3
-cat BENCH_trace_replay.json
+(cd "$BENCH_DIR" && ../release/trace_replay 30000 3)
+cat "$BENCH_DIR/BENCH_trace_replay.json"
 for key in search_ms replay_ms speedup; do
-    grep -q "\"$key\"" BENCH_trace_replay.json \
+    grep -q "\"$key\"" "$BENCH_DIR/BENCH_trace_replay.json" \
         || { echo "error: $key missing from BENCH_trace_replay.json" >&2; exit 1; }
 done
 

@@ -10,10 +10,9 @@
 //!
 //! The format is the dependency-free [`kutil::codec`] text form (magic
 //! `ozz-campaign`). Two classes of settings are deliberately *not*
-//! serialized: machine reuse and forced full restores are throughput
-//! knobs with byte-identical output (pinned by `tests/pool_fidelity.rs`
-//! and `tests/restore_differential.rs`), so a checkpoint taken with one
-//! setting resumes under another; and the worker count of the
+//! serialized: machine reuse is a throughput knob with byte-identical
+//! output (pinned by `tests/pool_fidelity.rs`), so a checkpoint taken
+//! with one setting resumes under the other; and the worker count of the
 //! work-stealing dispatcher is pure timing. Everything semantic — seed, budget, shard
 //! count, bug switches, memory model, hint configuration — is embedded,
 //! and on resume the checkpoint's values win over whatever the resuming

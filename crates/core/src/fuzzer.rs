@@ -80,14 +80,6 @@ pub struct FuzzConfig {
     /// Defaults to [`MemoryModel::from_env`] (`OZZ_MEMMODEL=pso`/`arm`
     /// selects a weaker model; unset means TSO).
     pub memory_model: MemoryModel,
-    /// Benchmark baseline knob: force every machine restore down the full
-    /// `clone_from` path and disable undo journaling entirely, reproducing
-    /// the pre-journal reset cost (including zero journaling overhead on
-    /// the write path). Campaign output is byte-identical either way —
-    /// the incremental path is semantically invisible — only restore cost
-    /// differs. Not serialized into checkpoints: like `reuse_machines`, it
-    /// is a perf knob, not campaign state.
-    pub force_full_restore: bool,
 }
 
 impl Default for FuzzConfig {
@@ -100,7 +92,6 @@ impl Default for FuzzConfig {
             hint_order: HintOrder::MaxReorderFirst,
             reuse_machines: true,
             memory_model: MemoryModel::from_env(),
-            force_full_restore: false,
         }
     }
 }
@@ -245,11 +236,6 @@ impl Fuzzer {
             self.pool
                 .checkout_with_model(&self.cfg.bugs, self.cfg.memory_model)
         });
-        if let Some(m) = &machine {
-            if self.cfg.force_full_restore {
-                m.kctx().set_force_full_restore(true);
-            }
-        }
         let traces = match &machine {
             Some(m) => profile_sti_on(m.kctx(), &sti),
             None => {
@@ -543,9 +529,9 @@ impl Fuzzer {
 /// deliberately *not* captured: pooled machines are reset to boot state
 /// between steps, so a resumed fuzzer rebooting its pool lazily produces
 /// byte-identical output — only [`Fuzzer::machine_boots`], a throughput
-/// counter, differs. Likewise [`FuzzConfig::reuse_machines`] and
-/// [`FuzzConfig::force_full_restore`] are perf knobs, not state: a
-/// checkpoint taken with either setting resumes correctly under the other.
+/// counter, differs. Likewise [`FuzzConfig::reuse_machines`] is a perf
+/// knob, not state: a checkpoint taken with either setting resumes
+/// correctly under the other.
 #[derive(Clone, Debug)]
 pub struct FuzzerCheckpoint {
     /// [`crate::sti::StiGen`] RNG state.

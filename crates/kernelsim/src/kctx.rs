@@ -155,13 +155,6 @@ impl MachineSnapshot {
         self.lockdep.digest(&mut out);
         out
     }
-
-    /// The engine snapshot's undo-journal generation id — the machine-level
-    /// name of this snapshot (each subsystem snapshot carries its own id;
-    /// the engine's stands for the set in diagnostics).
-    pub fn generation(&self) -> u64 {
-        self.engine.generation()
-    }
 }
 
 /// One booted simulated machine.
@@ -338,18 +331,6 @@ impl Kctx {
         self.fns.digest_live(&mut out);
         self.lockdep.digest_live(&mut out);
         out
-    }
-
-    /// Forces every subsequent restore of every subsystem down the full
-    /// `clone_from` path and disables undo journaling entirely (benchmark
-    /// baseline / diagnostics knob — reproduces the pre-journal restore
-    /// cost exactly, including zero journaling overhead on the write path).
-    pub fn set_force_full_restore(&self, on: bool) {
-        self.engine.set_force_full_restore(on);
-        self.kmem.set_force_full_restore(on);
-        self.fns.set_force_full_restore(on);
-        self.lockdep.set_force_full_restore(on);
-        self.sink.set_force_full_restore(on);
     }
 
     /// Boot-time globals.
@@ -852,27 +833,39 @@ mod tests {
     }
 
     #[test]
-    fn force_full_restore_reproduces_the_pre_journal_path() {
-        let k = Kctx::new(BugSwitches::all());
-        let boot_digest = k.state_digest();
-        k.set_force_full_restore(true);
+    fn cross_machine_restore_falls_back_once_then_rearms() {
         let t = Tid(0);
-        let obj = k.kzalloc(32, "forced");
-        k.write(t, iid!(), obj, 1);
-        k.reset();
-        assert_eq!(k.state_digest(), boot_digest);
-        let s = k.engine.stats();
-        assert_eq!(s.restores_incremental, 0);
-        assert_eq!(s.restore_full_fallbacks, 1);
-        assert_eq!(k.engine.journal_depth(), 0, "journal disarmed");
-        // Turning the knob back on re-arms on the next snapshot/restore.
-        k.set_force_full_restore(false);
-        k.reset(); // fallback (boot generation no longer armed) + re-arm
-        k.kzalloc(8, "x");
-        k.reset(); // incremental again
-        let s = k.engine.stats();
-        assert_eq!(s.restores_incremental, 1);
-        assert_eq!(s.restore_full_fallbacks, 2);
+        let a = Kctx::new(BugSwitches::all());
+        let obj = a.kzalloc(32, "donor");
+        a.write(t, iid!(), obj, 1);
+        a.lock(t, LockId(0x44));
+        a.lock(t, LockId(0x55));
+        a.unlock(t, LockId(0x55));
+        a.unlock(t, LockId(0x44));
+        let snap = a.snapshot();
+        let want = snap.digest();
+
+        // `b` never armed `a`'s generations: one full fallback lands it on
+        // `a`'s state and re-arms every journal at the restored snapshot.
+        let b = Kctx::new(BugSwitches::all());
+        b.restore(&snap);
+        assert_eq!(b.state_digest(), want);
+        let s = b.engine.stats();
+        assert_eq!((s.restore_full_fallbacks, s.restores_incremental), (1, 0));
+        assert_eq!(b.engine.journal_depth(), 1);
+        assert_eq!(b.kmem.journal_depth(), 1);
+
+        // Dirty `b` and restore the same snapshot: now incremental.
+        let obj = b.kzalloc(16, "recipient");
+        b.write(t, iid!(), obj, 2);
+        b.lock(t, LockId(0x66));
+        b.unlock(t, LockId(0x66));
+        b.fns.register("recipient_fn");
+        assert_ne!(b.state_digest(), want);
+        b.restore(&snap);
+        assert_eq!(b.state_digest(), want);
+        let s = b.engine.stats();
+        assert_eq!((s.restore_full_fallbacks, s.restores_incremental), (1, 1));
     }
 
     #[test]

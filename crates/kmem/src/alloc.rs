@@ -67,19 +67,12 @@ struct KmemFrame {
     entries: Vec<(u64, Option<Object>)>,
 }
 
-/// Deepest snapshot nesting the undo journal tracks; mirrors the engine's
-/// frame cap so the whole machine arms and evicts in lockstep.
-const MAX_FRAMES: usize = 8;
-
 struct Inner {
     next: u64,
     objects: BTreeMap<u64, Object>,
     stats: KmemStats,
     /// Armed undo frames, oldest first — one per live snapshot.
     frames: Vec<KmemFrame>,
-    /// Diagnostics/benchmark knob: disable journaling entirely so restores
-    /// reproduce the pre-journal full-`clone_from` cost exactly.
-    force_full_restore: bool,
 }
 
 impl Inner {
@@ -128,11 +121,6 @@ impl KmemSnapshot {
     pub fn digest(&self, out: &mut String) {
         digest_state(out, self.next, self.objects.values());
     }
-
-    /// The snapshot's undo-journal generation id.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
 }
 
 /// The one rendering of heap state both digests share: a snapshot's
@@ -166,7 +154,6 @@ impl Kmem {
                 objects: BTreeMap::new(),
                 stats: KmemStats::default(),
                 frames: Vec::new(),
-                force_full_restore: false,
             }),
         }
     }
@@ -338,15 +325,13 @@ impl Kmem {
     pub fn snapshot(&self) -> KmemSnapshot {
         let mut inner = self.inner.lock();
         let generation = kutil::next_generation();
-        if !inner.force_full_restore {
-            if inner.frames.len() == MAX_FRAMES {
-                inner.frames.remove(0);
-            }
-            inner.frames.push(KmemFrame {
-                generation,
-                entries: Vec::new(),
-            });
+        if inner.frames.len() == kutil::MAX_FRAMES {
+            inner.frames.remove(0);
         }
+        inner.frames.push(KmemFrame {
+            generation,
+            entries: Vec::new(),
+        });
         KmemSnapshot {
             next: inner.next,
             objects: inner.objects.clone(),
@@ -364,14 +349,10 @@ impl Kmem {
     pub fn restore(&self, snap: &KmemSnapshot) -> bool {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let armed = (!inner.force_full_restore)
-            .then(|| {
-                inner
-                    .frames
-                    .iter()
-                    .position(|f| f.generation == snap.generation)
-            })
-            .flatten();
+        let armed = inner
+            .frames
+            .iter()
+            .position(|f| f.generation == snap.generation);
         let incremental = match armed {
             Some(k) => {
                 while inner.frames.len() > k + 1 {
@@ -385,30 +366,18 @@ impl Kmem {
             None => {
                 inner.objects.clone_from(&snap.objects);
                 inner.frames.clear();
-                if !inner.force_full_restore {
-                    // The heap now *is* the snapshot: re-arm at its
-                    // generation so the next restore to it is incremental.
-                    inner.frames.push(KmemFrame {
-                        generation: snap.generation,
-                        entries: Vec::new(),
-                    });
-                }
+                // The heap now *is* the snapshot: re-arm at its generation
+                // so the next restore to it is incremental.
+                inner.frames.push(KmemFrame {
+                    generation: snap.generation,
+                    entries: Vec::new(),
+                });
                 false
             }
         };
         inner.next = snap.next;
         inner.stats = snap.stats;
         incremental
-    }
-
-    /// Forces every subsequent restore down the full `clone_from` path and
-    /// stops journaling (benchmark baseline / diagnostics knob).
-    pub fn set_force_full_restore(&self, on: bool) {
-        let mut inner = self.inner.lock();
-        inner.force_full_restore = on;
-        if on {
-            inner.frames.clear();
-        }
     }
 
     /// Armed undo-frame count (diagnostics).
@@ -584,17 +553,6 @@ mod tests {
         b.kzalloc(64, "extra");
         assert!(b.restore(&snap), "re-armed restore is incremental");
         assert_eq!(live_digest(&b), d);
-    }
-
-    #[test]
-    fn force_full_restore_disarms_journal() {
-        let k = Kmem::new();
-        k.set_force_full_restore(true);
-        let snap = k.snapshot();
-        assert_eq!(k.journal_depth(), 0);
-        k.kzalloc(16, "x");
-        assert!(!k.restore(&snap));
-        assert_eq!(k.journal_depth(), 0, "forced restore does not re-arm");
     }
 
     #[test]

@@ -37,16 +37,12 @@ struct FnRegistryInner {
     /// only needs the `next` counter at its push: rollback removes the
     /// registrations `base..next` and nothing can ever invalidate a frame.
     frames: Vec<FnFrame>,
-    force_full_restore: bool,
 }
 
 struct FnFrame {
     generation: u64,
     next: u64,
 }
-
-/// Deepest snapshot nesting tracked; mirrors the engine's frame cap.
-const MAX_FRAMES: usize = 8;
 
 /// A full copy of the registry's name↔address tables. Registration order
 /// decides addresses, so a reset machine must replay the boot-time table
@@ -65,11 +61,6 @@ impl FnRegistrySnapshot {
     /// (sorted by address).
     pub fn digest(&self, out: &mut String) {
         digest_state(out, self.next, &self.by_addr);
-    }
-
-    /// The snapshot's undo-journal generation id.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 }
 
@@ -92,13 +83,11 @@ impl FnRegistry {
     pub fn snapshot(&self) -> FnRegistrySnapshot {
         let mut inner = self.inner.lock();
         let generation = kutil::next_generation();
-        if !inner.force_full_restore {
-            if inner.frames.len() == MAX_FRAMES {
-                inner.frames.remove(0);
-            }
-            let next = inner.next;
-            inner.frames.push(FnFrame { generation, next });
+        if inner.frames.len() == kutil::MAX_FRAMES {
+            inner.frames.remove(0);
         }
+        let next = inner.next;
+        inner.frames.push(FnFrame { generation, next });
         FnRegistrySnapshot {
             by_addr: inner.by_addr.clone(),
             by_name: inner.by_name.clone(),
@@ -116,14 +105,10 @@ impl FnRegistry {
     pub fn restore(&self, snap: &FnRegistrySnapshot) -> bool {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let armed = (!inner.force_full_restore)
-            .then(|| {
-                inner
-                    .frames
-                    .iter()
-                    .position(|f| f.generation == snap.generation)
-            })
-            .flatten();
+        let armed = inner
+            .frames
+            .iter()
+            .position(|f| f.generation == snap.generation);
         match armed {
             Some(k) => {
                 debug_assert_eq!(inner.frames[k].next, snap.next);
@@ -144,24 +129,12 @@ impl FnRegistry {
                 inner.by_name.clone_from(&snap.by_name);
                 inner.next = snap.next;
                 inner.frames.clear();
-                if !inner.force_full_restore {
-                    inner.frames.push(FnFrame {
-                        generation: snap.generation,
-                        next: snap.next,
-                    });
-                }
+                inner.frames.push(FnFrame {
+                    generation: snap.generation,
+                    next: snap.next,
+                });
                 false
             }
-        }
-    }
-
-    /// Forces every subsequent restore down the full `clone_from` path
-    /// (benchmark baseline / diagnostics knob).
-    pub fn set_force_full_restore(&self, on: bool) {
-        let mut inner = self.inner.lock();
-        inner.force_full_restore = on;
-        if on {
-            inner.frames.clear();
         }
     }
 

@@ -25,7 +25,6 @@ struct Inner {
     edges: HashSet<(LockId, LockId)>,
     /// Armed undo frames, oldest first — one per live snapshot.
     frames: Vec<LockdepFrame>,
-    force_full_restore: bool,
 }
 
 /// One undo frame. Edges are only ever *inserted* between snapshots, so
@@ -37,9 +36,6 @@ struct LockdepFrame {
     edges_added: Vec<(LockId, LockId)>,
     held_dirty: bool,
 }
-
-/// Deepest snapshot nesting tracked; mirrors the engine's frame cap.
-const MAX_FRAMES: usize = 8;
 
 /// The lock-ordering oracle.
 #[derive(Default)]
@@ -64,11 +60,6 @@ impl LockdepSnapshot {
     /// (hash containers are sorted first).
     pub fn digest(&self, out: &mut String) {
         digest_state(out, &self.held, &self.edges);
-    }
-
-    /// The snapshot's undo-journal generation id.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 }
 
@@ -97,16 +88,14 @@ impl Lockdep {
     pub fn snapshot(&self) -> LockdepSnapshot {
         let mut inner = self.inner.lock();
         let generation = kutil::next_generation();
-        if !inner.force_full_restore {
-            if inner.frames.len() == MAX_FRAMES {
-                inner.frames.remove(0);
-            }
-            inner.frames.push(LockdepFrame {
-                generation,
-                edges_added: Vec::new(),
-                held_dirty: false,
-            });
+        if inner.frames.len() == kutil::MAX_FRAMES {
+            inner.frames.remove(0);
         }
+        inner.frames.push(LockdepFrame {
+            generation,
+            edges_added: Vec::new(),
+            held_dirty: false,
+        });
         LockdepSnapshot {
             held: inner.held.clone(),
             edges: inner.edges.clone(),
@@ -123,14 +112,10 @@ impl Lockdep {
     pub fn restore(&self, snap: &LockdepSnapshot) -> bool {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let armed = (!inner.force_full_restore)
-            .then(|| {
-                inner
-                    .frames
-                    .iter()
-                    .position(|f| f.generation == snap.generation)
-            })
-            .flatten();
+        let armed = inner
+            .frames
+            .iter()
+            .position(|f| f.generation == snap.generation);
         match armed {
             Some(k) => {
                 let mut held_dirty = false;
@@ -156,25 +141,13 @@ impl Lockdep {
                 inner.held.clone_from(&snap.held);
                 inner.edges.clone_from(&snap.edges);
                 inner.frames.clear();
-                if !inner.force_full_restore {
-                    inner.frames.push(LockdepFrame {
-                        generation: snap.generation,
-                        edges_added: Vec::new(),
-                        held_dirty: false,
-                    });
-                }
+                inner.frames.push(LockdepFrame {
+                    generation: snap.generation,
+                    edges_added: Vec::new(),
+                    held_dirty: false,
+                });
                 false
             }
-        }
-    }
-
-    /// Forces every subsequent restore down the full `clone_from` path
-    /// (benchmark baseline / diagnostics knob).
-    pub fn set_force_full_restore(&self, on: bool) {
-        let mut inner = self.inner.lock();
-        inner.force_full_restore = on;
-        if on {
-            inner.frames.clear();
         }
     }
 

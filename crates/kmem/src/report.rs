@@ -151,7 +151,6 @@ struct SinkInner {
     /// baseline (an empty baseline survives a drain: truncating to zero is
     /// still exact).
     frames: Vec<SinkFrame>,
-    force_full_restore: bool,
 }
 
 struct SinkFrame {
@@ -159,9 +158,6 @@ struct SinkFrame {
     base_len: usize,
     valid: bool,
 }
-
-/// Deepest snapshot nesting tracked; mirrors the engine's frame cap.
-const MAX_FRAMES: usize = 8;
 
 /// The sink's captured state plus its undo-journal generation id.
 #[derive(Clone)]
@@ -174,11 +170,6 @@ impl SinkSnapshot {
     /// The captured reports (machine digest support).
     pub fn reports(&self) -> &[CrashReport] {
         &self.reports
-    }
-
-    /// The snapshot's undo-journal generation id.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 }
 
@@ -215,31 +206,20 @@ impl OracleSink {
         self.inner.lock().reports.clone()
     }
 
-    /// Replaces the recorded reports with a previously captured copy,
-    /// reusing the sink's allocation.
-    pub fn restore(&self, reports: &[CrashReport]) {
-        let mut inner = self.inner.lock();
-        inner.frames.clear();
-        inner.reports.clear();
-        inner.reports.extend_from_slice(reports);
-    }
-
     /// Captures the sink's state and arms an undo frame under the
     /// snapshot's fresh generation id.
     pub fn capture(&self) -> SinkSnapshot {
         let mut inner = self.inner.lock();
         let generation = kutil::next_generation();
-        if !inner.force_full_restore {
-            if inner.frames.len() == MAX_FRAMES {
-                inner.frames.remove(0);
-            }
-            let base_len = inner.reports.len();
-            inner.frames.push(SinkFrame {
-                generation,
-                base_len,
-                valid: true,
-            });
+        if inner.frames.len() == kutil::MAX_FRAMES {
+            inner.frames.remove(0);
         }
+        let base_len = inner.reports.len();
+        inner.frames.push(SinkFrame {
+            generation,
+            base_len,
+            valid: true,
+        });
         SinkSnapshot {
             reports: inner.reports.clone(),
             generation,
@@ -258,14 +238,10 @@ impl OracleSink {
     pub fn restore_from(&self, snap: &SinkSnapshot) -> bool {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let armed = (!inner.force_full_restore)
-            .then(|| {
-                inner
-                    .frames
-                    .iter()
-                    .position(|f| f.generation == snap.generation)
-            })
-            .flatten();
+        let armed = inner
+            .frames
+            .iter()
+            .position(|f| f.generation == snap.generation);
         match armed {
             Some(k) if inner.frames[k].valid && inner.reports.len() >= inner.frames[k].base_len => {
                 debug_assert_eq!(inner.frames[k].base_len, snap.reports.len());
@@ -278,25 +254,13 @@ impl OracleSink {
                 inner.reports.clear();
                 inner.reports.extend_from_slice(&snap.reports);
                 inner.frames.clear();
-                if !inner.force_full_restore {
-                    inner.frames.push(SinkFrame {
-                        generation: snap.generation,
-                        base_len: snap.reports.len(),
-                        valid: true,
-                    });
-                }
+                inner.frames.push(SinkFrame {
+                    generation: snap.generation,
+                    base_len: snap.reports.len(),
+                    valid: true,
+                });
                 false
             }
-        }
-    }
-
-    /// Forces every subsequent restore down the rebuild path (benchmark
-    /// baseline / diagnostics knob).
-    pub fn set_force_full_restore(&self, on: bool) {
-        let mut inner = self.inner.lock();
-        inner.force_full_restore = on;
-        if on {
-            inner.frames.clear();
         }
     }
 

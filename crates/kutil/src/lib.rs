@@ -52,6 +52,13 @@ pub fn next_generation() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Deepest snapshot nesting every undo journal tracks (engine, kmem,
+/// fnreg, lockdep, crash sink). The campaign loop needs two (boot +
+/// post-setup); pushing past the cap drops the oldest frame, whose
+/// generation then restores via the full fallback path. One constant for
+/// all five journals, so the whole machine arms and evicts in lockstep.
+pub const MAX_FRAMES: usize = 8;
+
 /// FNV-1a over a byte slice: the workspace's stable content fingerprint.
 ///
 /// Used to pin machine-state digests inside serialized artifacts (golden

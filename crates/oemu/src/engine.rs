@@ -69,8 +69,8 @@ pub struct EngineStats {
     pub restore_words_replayed: u64,
     /// Restores that took the full `clone_from` path: the target's
     /// generation was not armed in the journal (cross-machine restore,
-    /// superseded snapshot, invalidated journal) or full restore was
-    /// forced. Machine-lifetime counter.
+    /// evicted or superseded snapshot, invalidated journal).
+    /// Machine-lifetime counter.
     pub restore_full_fallbacks: u64,
     /// Deepest memory undo journal observed at a restore, in entries —
     /// how much reset debt the machine ever accumulated. Machine-lifetime
@@ -138,11 +138,6 @@ struct EngineFrame {
     threads: Vec<ThreadFrame>,
 }
 
-/// Deepest snapshot nesting the undo journal tracks. The campaign loop
-/// needs two (boot + post-setup); pushing past the cap drops the oldest
-/// frame, whose generation then restores via the full fallback path.
-const MAX_FRAMES: usize = 8;
-
 #[derive(Default, Clone)]
 struct ThreadState {
     buffer: StoreBuffer,
@@ -182,10 +177,6 @@ struct Inner {
     /// Deliberately *not* part of [`EngineSnapshot`]: the journal describes
     /// how to get *back* to snapshots, it is not machine state itself.
     frames: Vec<EngineFrame>,
-    /// Diagnostics/benchmark knob: every restore takes the full
-    /// `clone_from` path and no frames are armed, reproducing the
-    /// pre-journal cost model exactly.
-    force_full_restore: bool,
     /// The memory model this engine emulates. Machine identity, not
     /// mutable state: fixed at construction, deliberately excluded from
     /// [`EngineSnapshot`] and its digest (machines of different models are
@@ -247,11 +238,6 @@ impl EngineSnapshot {
             &self.threads,
             self.resident,
         );
-    }
-
-    /// The snapshot's undo-journal generation id.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 }
 
@@ -336,7 +322,6 @@ impl Engine {
                 spare_events: Vec::new(),
                 trace: TraceState::default(),
                 frames: Vec::new(),
-                force_full_restore: false,
                 model,
                 resident: None,
             }),
@@ -355,14 +340,13 @@ impl Engine {
     /// Captures the engine's full semantic state and arms an undo-journal
     /// frame under the snapshot's fresh generation id, so a later
     /// [`restore`](Engine::restore) to it rolls back only the state mutated
-    /// in between. With [`set_force_full_restore`](Engine::set_force_full_restore)
-    /// active no frame is armed (the pre-journal cost model).
+    /// in between. The snapshot still carries a full copy of the state:
+    /// a restore whose frame is no longer armed (another machine, an
+    /// evicted or invalidated frame) falls back to copying it.
     pub fn snapshot(&self) -> EngineSnapshot {
         let mut inner = self.inner.lock();
         let generation = kutil::next_generation();
-        if !inner.force_full_restore {
-            inner.push_frame(generation);
-        }
+        inner.push_frame(generation);
         EngineSnapshot {
             mem: inner.mem.clone(),
             history: inner.history.clone(),
@@ -386,40 +370,25 @@ impl Engine {
     /// restore is *incremental*: memory pre-images replay backwards, the
     /// store history truncates to its frame baseline, and per-thread
     /// collections are copied only if some armed frame saw them mutated.
-    /// Otherwise — cross-machine restore, superseded or pre-journal
-    /// snapshot, invalidated journal, or forced — the full `clone_from`
-    /// path runs and `restore_full_fallbacks` counts it; the journal is
-    /// then re-armed at the restored generation (the machine now *is* that
-    /// snapshot), so repeat restores to it become incremental.
+    /// Otherwise the full `clone_from` path runs and
+    /// `restore_full_fallbacks` counts it. That happens for a cross-machine
+    /// restore, a frame evicted past [`kutil::MAX_FRAMES`] or popped by a
+    /// restore to an older snapshot, and a journal invalidated by
+    /// [`gc_history`](Engine::gc_history). The journal is then re-armed at
+    /// the restored generation (the machine now *is* that snapshot), so
+    /// repeat restores to it become incremental.
     pub fn restore(&self, snap: &EngineSnapshot) {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let depth = inner.mem.journal_entries();
         inner.stats.journal_peak_words = inner.stats.journal_peak_words.max(depth);
-        let armed = (!inner.force_full_restore)
-            .then(|| {
-                inner
-                    .frames
-                    .iter()
-                    .position(|f| f.generation == snap.generation)
-            })
-            .flatten();
+        let armed = inner
+            .frames
+            .iter()
+            .position(|f| f.generation == snap.generation);
         match armed {
             Some(k) => inner.restore_incremental(k, snap),
             None => inner.restore_full(snap),
-        }
-    }
-
-    /// Forces every subsequent restore down the full `clone_from` path and
-    /// disarms the undo journal (no frames are pushed while set) — the
-    /// pre-journal cost model, for differential tests and the benchmark's
-    /// comparison arm. Semantically invisible either way.
-    pub fn set_force_full_restore(&self, on: bool) {
-        let mut inner = self.inner.lock();
-        inner.force_full_restore = on;
-        if on {
-            inner.frames.clear();
-            inner.mem.journal_clear();
         }
     }
 
@@ -980,7 +949,7 @@ impl Inner {
     /// frame if the stack is at capacity (its generation becomes a
     /// full-restore fallback).
     fn push_frame(&mut self, generation: u64) {
-        if self.frames.len() == MAX_FRAMES {
+        if self.frames.len() == kutil::MAX_FRAMES {
             self.frames.remove(0);
             self.mem.journal_drop_oldest();
         }
@@ -1094,11 +1063,9 @@ impl Inner {
         }
         self.resident = snap.resident;
         self.frames.clear();
-        if !self.force_full_restore {
-            // The machine now *is* the snapshot: re-arm the journal at its
-            // generation so the next restore to it is incremental.
-            self.push_frame(snap.generation);
-        }
+        // The machine now *is* the snapshot: re-arm the journal at its
+        // generation so the next restore to it is incremental.
+        self.push_frame(snap.generation);
         self.restore_stats(snap.stats);
         self.stats.restore_full_fallbacks += 1;
     }
@@ -1778,27 +1745,6 @@ mod tests {
         assert_eq!(live_digest(&b), snap_digest(&snap));
         assert_eq!(b.stats().restore_full_fallbacks, 1);
         assert_eq!(b.stats().restores_incremental, 0);
-    }
-
-    #[test]
-    fn force_full_restore_disarms_journal() {
-        let e = Engine::new(2);
-        e.set_force_full_restore(true);
-        let snap = e.snapshot();
-        assert_eq!(e.journal_depth(), 0, "no frame armed while forced");
-        mutate_everything(&e, 3);
-        e.restore(&snap);
-        assert_eq!(live_digest(&e), snap_digest(&snap));
-        let s = e.stats();
-        assert_eq!(s.restore_full_fallbacks, 1);
-        assert_eq!(s.restores_incremental, 0);
-        assert_eq!(e.journal_depth(), 0, "forced restore does not re-arm");
-        // Turning the knob off restores incremental behaviour.
-        e.set_force_full_restore(false);
-        let snap2 = e.snapshot();
-        mutate_everything(&e, 4);
-        e.restore(&snap2);
-        assert_eq!(e.stats().restores_incremental, 1);
     }
 
     #[test]
